@@ -2,6 +2,8 @@ type failure = {
   f_profile : Script.profile;
   f_seed : int;
   f_ticks : int;
+  f_n_hives : int;
+  f_lin : bool;
   f_outbox : bool;
   f_violation : Monitor.violation;
   f_script : Script.op list;
@@ -18,6 +20,8 @@ type report = {
   rp_failures : failure list;
   rp_lin_ops : int;
   rp_lin_checked : int;
+  rp_lin_unknown : int;
+  rp_lin_pruned : int;
 }
 
 let shrink_failure cfg script (v : Monitor.violation) =
@@ -30,12 +34,16 @@ let shrink_failure cfg script (v : Monitor.violation) =
   let replays = still_fails shrunk in
   (shrunk, replays)
 
-let run ?(n_hives = 4) ?(ticks = 30) ?(storm_budget = 5000) ?(lin = false)
+let default_n_hives = 4
+
+let run ?(n_hives = default_n_hives) ?(ticks = 30) ?(storm_budget = 5000) ?(lin = false)
     ?(outbox = false) ?domains ?sharded ?(first_seed = 0) ~seeds profile =
   let passed = ref 0 in
   let failures = ref [] in
   let lin_ops = ref 0 in
   let lin_checked = ref 0 in
+  let lin_unknown = ref 0 in
+  let lin_pruned = ref 0 in
   for seed = first_seed to first_seed + seeds - 1 do
     let cfg =
       Runner.make_cfg ~n_hives ~ticks ~storm_budget ~lin ~outbox ?domains
@@ -45,7 +53,9 @@ let run ?(n_hives = 4) ?(ticks = 30) ?(storm_budget = 5000) ?(lin = false)
     | _, Runner.Pass s ->
       incr passed;
       lin_ops := !lin_ops + s.Runner.s_lin_ops;
-      lin_checked := !lin_checked + s.Runner.s_lin_checked
+      lin_pruned := !lin_pruned + s.Runner.s_lin_pruned;
+      if s.Runner.s_lin_unknown > 0 then incr lin_unknown
+      else lin_checked := !lin_checked + s.Runner.s_lin_checked
     | script, Runner.Fail v ->
       let shrunk, replays = shrink_failure cfg script v in
       failures :=
@@ -53,6 +63,8 @@ let run ?(n_hives = 4) ?(ticks = 30) ?(storm_budget = 5000) ?(lin = false)
           f_profile = profile;
           f_seed = seed;
           f_ticks = ticks;
+          f_n_hives = n_hives;
+          f_lin = lin;
           f_outbox = outbox;
           f_violation = v;
           f_script = script;
@@ -70,6 +82,8 @@ let run ?(n_hives = 4) ?(ticks = 30) ?(storm_budget = 5000) ?(lin = false)
     rp_failures = List.rev !failures;
     rp_lin_ops = !lin_ops;
     rp_lin_checked = !lin_checked;
+    rp_lin_unknown = !lin_unknown;
+    rp_lin_pruned = !lin_pruned;
   }
 
 let replay ?n_hives ?ticks ?storm_budget ?lin ?outbox ?domains ?sharded ~seed
@@ -84,9 +98,12 @@ let pp_failure ppf f =
     f.f_seed f.f_ticks;
   Format.fprintf ppf "  %a@." Monitor.pp_violation f.f_violation;
   Format.fprintf ppf
-    "  replay: beehive_sim check --profile %s --first-seed %d --seeds 1 --ticks %d%s@."
+    "  replay: beehive_sim check --profile %s --first-seed %d --seeds 1 --ticks %d%s%s%s@."
     (Script.profile_to_string f.f_profile)
     f.f_seed f.f_ticks
+    (if f.f_n_hives <> default_n_hives then Printf.sprintf " --hives %d" f.f_n_hives
+     else "")
+    (if f.f_lin then " --lin" else "")
     (if f.f_outbox then " --outbox" else "");
   Format.fprintf ppf "  script: %d events, shrunk to %d (%s)@."
     (List.length f.f_script) (List.length f.f_shrunk)
@@ -100,10 +117,14 @@ let pp_report ppf r =
     (r.rp_first_seed + r.rp_seeds - 1)
     r.rp_ticks r.rp_passed
     (List.length r.rp_failures);
-  if r.rp_lin_checked > 0 then
+  if r.rp_lin_ops > 0 then
     Format.fprintf ppf
-      "  lin: %d client ops recorded, %d per-key histories checked linearizable@."
-      r.rp_lin_ops r.rp_lin_checked;
+      "  lin: %d client ops recorded, %d unobservable pending ops pruned; %d \
+       histories decided linearizable (%d per-key), %d undecided (search \
+       budget exhausted)@."
+      r.rp_lin_ops r.rp_lin_pruned
+      (r.rp_passed - r.rp_lin_unknown)
+      r.rp_lin_checked r.rp_lin_unknown;
   List.iter (fun f -> Format.fprintf ppf "%a" pp_failure f) r.rp_failures
 
 let failure_to_string f = Format.asprintf "%a" pp_failure f

@@ -12,6 +12,8 @@ type failure = {
   f_profile : Script.profile;
   f_seed : int;
   f_ticks : int;
+  f_n_hives : int;
+  f_lin : bool;  (** the lin workload and monitor were armed for this run *)
   f_outbox : bool;  (** the outbox workload was armed for this run *)
   f_violation : Monitor.violation;
   f_script : Script.op list;  (** the full generated script *)
@@ -32,7 +34,14 @@ type report = {
       (** client ops the lin workload recorded across passing seeds
           (0 unless [run ~lin:true]) *)
   rp_lin_checked : int;
-      (** per-key histories checked linearizable across passing seeds *)
+      (** per-key histories checked linearizable across the passing seeds
+          whose history was decided *)
+  rp_lin_unknown : int;
+      (** passing seeds whose history the lin search left undecided
+          (budget exhausted): a coverage gap, not a verdict *)
+  rp_lin_pruned : int;
+      (** unobservable pending ops the lin pre-pass dropped across
+          passing seeds *)
 }
 
 val run :

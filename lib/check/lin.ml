@@ -9,9 +9,46 @@ type report = {
   r_verdict : verdict;
   r_components : int;
   r_steps : int;
+  r_pruned : int;
 }
 
 let default_max_steps = 2_000_000
+
+(* ------------------------------------------------------------------ *)
+(* Unobservable-Info pre-pass. An [Info] op whose every write is a     *)
+(* (key, value) pair no [Ok] outcome reports can be deleted from any   *)
+(* linearization that contains it: until the next write to its key no  *)
+(* [Ok] op reads that key (the read would report the unobserved        *)
+(* value), after that write the key's state is the same either way,    *)
+(* and the model's writes never depend on what they read. So dropping  *)
+(* it keeps every [Ok] outcome and every real-time constraint — and    *)
+(* the search no longer branches on whether it happened. An [Info]     *)
+(* read writes nothing and is always dropped.                          *)
+(* ------------------------------------------------------------------ *)
+
+let writes = function
+  | History.Get _ -> []
+  | History.Put (k, v) -> [ (k, Some v) ]
+  | History.Del k -> [ (k, None) ]
+  | History.Txn kvs -> List.map (fun (k, v) -> (k, Some v)) kvs
+
+let prune_unobserved ops =
+  let observed = Hashtbl.create 256 in
+  let see k v = Hashtbl.replace observed (k, v) () in
+  List.iter
+    (fun o ->
+      match (o.History.op_call, o.History.op_status) with
+      | History.Get k, History.Ok (History.Got v) -> see k v
+      | History.Txn kvs, History.Ok (History.Old vs)
+        when List.compare_lengths kvs vs = 0 ->
+        List.iter2 (fun (k, _) v -> see k v) kvs vs
+      | _ -> ())
+    ops;
+  List.partition
+    (fun o ->
+      o.History.op_status <> History.Info
+      || List.exists (Hashtbl.mem observed) (writes o.History.op_call))
+    ops
 
 (* ------------------------------------------------------------------ *)
 (* P-compositionality: partition the history into per-key connected    *)
@@ -215,6 +252,7 @@ let minimize_witness ~max_steps ops =
 
 let check_report ?(max_steps = default_max_steps) history =
   let ops = List.filter (fun o -> o.History.op_status <> History.Fail) history in
+  let ops, pruned = prune_unobserved ops in
   let comps = components ops in
   let n_components = List.length comps in
   let steps = ref (max 1 max_steps) in
@@ -231,7 +269,12 @@ let check_report ?(max_steps = default_max_steps) history =
              max_steps (List.length c)))
   in
   let verdict = go comps in
-  { r_verdict = verdict; r_components = n_components; r_steps = max_steps - !steps }
+  {
+    r_verdict = verdict;
+    r_components = n_components;
+    r_steps = max_steps - !steps;
+    r_pruned = List.length pruned;
+  }
 
 let check ?max_steps history = (check_report ?max_steps history).r_verdict
 

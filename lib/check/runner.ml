@@ -156,6 +156,9 @@ type stats = {
   s_puts : int;
   s_lin_ops : int;
   s_lin_checked : int;
+  s_lin_unknown : int;
+  s_lin_pruned : int;
+  s_lin_steps : int;
 }
 
 type outcome =
@@ -381,6 +384,7 @@ let lin_monitor recorder last_report =
         let ps = Platform.stats ctx.Monitor.cx_platform in
         Stats.set_gauge ps "lin.ops_recorded" (History.n_invoked recorder);
         Stats.set_gauge ps "lin.histories_checked" r.Lin.r_components;
+        Stats.set_gauge ps "lin.info_pruned" r.Lin.r_pruned;
         match r.Lin.r_verdict with
         | Lin.Linearizable -> None
         | Lin.Unknown _ ->
@@ -646,6 +650,7 @@ let execute ?observe cfg ops =
     List.iter (fun m -> Monitor.check m ctx) monitors
   with
   | () ->
+    let lin_count f = match !lin_report with Some r -> f r | None -> 0 in
     Pass
       {
         s_events = Engine.events_executed engine;
@@ -657,10 +662,12 @@ let execute ?observe cfg ops =
         s_puts = !n_puts;
         s_lin_ops =
           (match lin_rec with Some r -> History.n_invoked r | None -> 0);
-        s_lin_checked =
-          (match !lin_report with
-          | Some r -> r.Lin.r_components
-          | None -> 0);
+        s_lin_checked = lin_count (fun r -> r.Lin.r_components);
+        s_lin_unknown =
+          lin_count (fun r ->
+              match r.Lin.r_verdict with Lin.Unknown _ -> 1 | _ -> 0);
+        s_lin_pruned = lin_count (fun r -> r.Lin.r_pruned);
+        s_lin_steps = lin_count (fun r -> r.Lin.r_steps);
       }
   | exception Monitor.Violation v -> Fail v
   | exception exn ->

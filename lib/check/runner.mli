@@ -71,6 +71,11 @@ type stats = {
   s_puts : int;  (** puts counted into the model (origin hive alive) *)
   s_lin_ops : int;  (** client operations the lin workload invoked *)
   s_lin_checked : int;  (** per-key histories (components) checked *)
+  s_lin_unknown : int;
+      (** 1 iff the lin search ran out of budget: the history is
+          undecided, neither linearizable nor not *)
+  s_lin_pruned : int;  (** unobservable [Info] ops dropped before the search *)
+  s_lin_steps : int;  (** search configurations the lin check consumed *)
 }
 
 type outcome =

@@ -57,6 +57,59 @@ let test_corpus_replays_clean () =
              seed Monitor.pp_violation v))
     entries
 
+(* --- Lin coverage: no undecided corpus history ------------------------ *)
+
+module Lin = Beehive_check.Lin
+module Stats = Beehive_core.Stats
+
+(* Runs one seed with the lin workload armed and returns its stats plus
+   the [lin.unknown] gauge the final monitor left on the platform. *)
+let lin_seed ~ticks ~seed profile =
+  let cfg = Runner.make_cfg ~ticks ~lin:true ~seed profile in
+  let script =
+    Nemesis.generate ~rng:(Beehive_sim.Rng.create seed) ~profile
+      ~n_hives:cfg.Runner.r_n_hives ~ticks
+  in
+  let captured = ref None in
+  let name = Printf.sprintf "%s/%d" (Script.profile_to_string profile) seed in
+  match Runner.execute ~observe:(fun _ p -> captured := Some p) cfg script with
+  | Runner.Fail v ->
+    Alcotest.fail (Format.asprintf "lin seed %s failed: %a" name Monitor.pp_violation v)
+  | Runner.Pass s ->
+    let unknown =
+      Option.bind !captured (fun p -> Stats.gauge (Platform.stats p) "lin.unknown")
+    in
+    (name, s, Option.value ~default:0 unknown)
+
+(* An undecided history is a blind spot, not a pass: every lin-tagged
+   corpus seed must reach a verdict within the search budget. *)
+let test_lin_corpus_decides () =
+  let entries =
+    List.filter (fun (_, _, _, lin, _) -> lin) (parse_corpus "seeds.corpus")
+  in
+  Alcotest.(check bool) "corpus has lin seeds" true (entries <> []);
+  List.iter
+    (fun (profile, seed, ticks, _, _) ->
+      let name, s, unknown = lin_seed ~ticks ~seed profile in
+      Alcotest.(check int) (name ^ ": lin.unknown gauge") 0 unknown;
+      Alcotest.(check int) (name ^ ": decided") 0 s.Runner.s_lin_unknown;
+      Alcotest.(check bool) (name ^ ": checked something") true
+        (s.Runner.s_lin_checked > 0))
+    entries
+
+(* Durability seed 1 records an 81-op history whose pending ops, left
+   in the search, exhaust the whole budget; with the unobservable ones
+   pruned it must decide, and cheaply. *)
+let test_lin_budget_seed_decides () =
+  let name, s, unknown = lin_seed ~ticks:30 ~seed:1 Script.Durability in
+  Alcotest.(check int) (name ^ ": lin.unknown gauge") 0 unknown;
+  Alcotest.(check int) (name ^ ": decided linearizable") 0 s.Runner.s_lin_unknown;
+  Alcotest.(check bool) (name ^ ": pending ops pruned") true (s.Runner.s_lin_pruned > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d steps < 10%% of the budget" name s.Runner.s_lin_steps)
+    true
+    (s.Runner.s_lin_steps < Lin.default_max_steps / 10)
+
 (* --- Self-test: the harness catches a re-introduced historical bug --- *)
 
 (* Disabling in-flight forwarding to merged-away bees (the historical
@@ -502,6 +555,10 @@ let suite =
     ( "check",
       [
         Alcotest.test_case "seed corpus replays clean" `Quick test_corpus_replays_clean;
+        Alcotest.test_case "every lin corpus seed decides" `Quick
+          test_lin_corpus_decides;
+        Alcotest.test_case "pending-heavy lin seed decides cheaply" `Quick
+          test_lin_budget_seed_decides;
         Alcotest.test_case "catches re-introduced forwarding bug" `Quick
           test_catches_forwarding_bug;
         Alcotest.test_case "catches disabled transport dedup" `Quick

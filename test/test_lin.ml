@@ -1,8 +1,11 @@
 (* The linearizability checker: verdicts on hand-written histories
    (known-good and known-bad register/KV shapes, pending ops, budget
-   exhaustion, per-key partitioning), the stale-read self-test (the
-   deliberately re-introduced bug must be caught, shrunk and replayed),
-   and client-op recording across a mid-flight migration. *)
+   exhaustion, per-key partitioning), the unobservable-Info pre-pass
+   (hand-written cases plus a property against a brute-force oracle),
+   the stale-read self-test (the deliberately re-introduced bug must be
+   caught, shrunk and replayed, and its printed replay command must
+   re-arm the lin workload), and client-op recording across a
+   mid-flight migration. *)
 
 open Helpers
 module H = Beehive_check.History
@@ -195,6 +198,211 @@ let test_budget_exhaustion_is_unknown () =
   (* The same history decides cleanly with the default budget. *)
   expect "decidable with full budget" "linearizable" ops
 
+(* --- The unobservable-Info pre-pass -------------------------------------- *)
+
+let ids ops = List.map (fun (o : H.op) -> o.H.op_id) ops
+
+(* A pending put whose value a completed read reports is observed: the
+   pre-pass must keep it, or the read would have no writer. *)
+let test_observed_info_put_kept () =
+  let r =
+    Lin.check_report
+      [
+        pending 0 (H.Put ("x", 1)) ~inv:0;
+        mk 1 ~client:1 (H.Get "x") ~inv:10 ~ret:20 (ok (H.Got (Some 1)));
+      ]
+  in
+  Alcotest.(check int) "nothing pruned" 0 r.Lin.r_pruned;
+  match r.Lin.r_verdict with
+  | Lin.Linearizable -> ()
+  | v -> Alcotest.fail (Format.asprintf "observed info put: got %a" Lin.pp_verdict v)
+
+(* Likewise a pending delete whose absence a [get -> nil] reports: it is
+   the only op that can explain the nil after the completed put. *)
+let test_observed_info_del_kept () =
+  let r =
+    Lin.check_report
+      [
+        mk 0 (H.Put ("x", 1)) ~inv:0 ~ret:10 (ok H.Done);
+        pending 1 ~client:1 (H.Del "x") ~inv:20;
+        mk 2 (H.Get "x") ~inv:30 ~ret:40 (ok (H.Got None));
+      ]
+  in
+  Alcotest.(check int) "nothing pruned" 0 r.Lin.r_pruned;
+  match r.Lin.r_verdict with
+  | Lin.Linearizable -> ()
+  | v -> Alcotest.fail (Format.asprintf "observed info del: got %a" Lin.pp_verdict v)
+
+(* Pruning unobservable pending ops must not hide a real violation, and
+   the witness is drawn from what the search saw, so it names none of
+   the dropped ops. *)
+let test_stale_read_with_prunable_info () =
+  let droppable =
+    [
+      pending 10 ~client:2 (H.Put ("x", 7)) ~inv:5;
+      pending 11 ~client:3 (H.Get "x") ~inv:15;
+      pending 12 ~client:2 (H.Txn [ ("x", 8); ("y", 9) ]) ~inv:25;
+    ]
+  in
+  let r =
+    Lin.check_report
+      ([
+         mk 0 (H.Put ("x", 1)) ~inv:0 ~ret:10 (ok H.Done);
+         mk 1 (H.Put ("x", 2)) ~inv:20 ~ret:30 (ok H.Done);
+         mk 2 ~client:1 (H.Get "x") ~inv:40 ~ret:50 (ok (H.Got (Some 1)));
+       ]
+      @ droppable)
+  in
+  Alcotest.(check int) "every unobserved pending op pruned" 3 r.Lin.r_pruned;
+  match r.Lin.r_verdict with
+  | Lin.Non_linearizable w ->
+    List.iter
+      (fun id ->
+        Alcotest.(check bool)
+          (Printf.sprintf "witness omits dropped op %d" id)
+          false
+          (List.mem id (ids w)))
+      (ids droppable)
+  | v -> Alcotest.fail (Format.asprintf "stale read + info: got %a" Lin.pp_verdict v)
+
+(* Brute-force oracle: every subset of the Info ops, every order of the
+   chosen ops plus all Ok ops that respects real time, replayed against
+   a fresh copy of the sequential KV model — no pruning, no memo. *)
+let model_apply state = function
+  | H.Get k -> (H.Got (List.assoc_opt k state), state)
+  | H.Put (k, v) -> (H.Done, (k, v) :: List.remove_assoc k state)
+  | H.Del k -> (H.Done, List.remove_assoc k state)
+  | H.Txn kvs ->
+    ( H.Old (List.map (fun (k, _) -> List.assoc_opt k state) kvs),
+      List.fold_left (fun st (k, v) -> (k, v) :: List.remove_assoc k st) state kvs )
+
+let rec subsets = function
+  | [] -> [ [] ]
+  | x :: rest ->
+    let s = subsets rest in
+    s @ List.map (fun t -> x :: t) s
+
+let rec orders = function
+  | [] -> [ [] ]
+  | l ->
+    List.concat_map
+      (fun (x : H.op) ->
+        List.map (fun p -> x :: p)
+          (orders (List.filter (fun (y : H.op) -> y.H.op_id <> x.H.op_id) l)))
+      l
+
+(* An op may not be ordered before one that returned before it was
+   invoked. *)
+let rec respects_real_time = function
+  | [] -> true
+  | (a : H.op) :: later ->
+    List.for_all
+      (fun (b : H.op) ->
+        match b.H.op_returned with
+        | Some r -> Simtime.(a.H.op_invoked <= r)
+        | None -> true)
+      later
+    && respects_real_time later
+
+let legal order =
+  let rec go state = function
+    | [] -> true
+    | (o : H.op) :: rest -> (
+      let outcome, state' = model_apply state o.H.op_call in
+      match o.H.op_status with
+      | H.Ok expected -> expected = outcome && go state' rest
+      | H.Info | H.Fail -> go state' rest)
+  in
+  go [] order
+
+let oracle_linearizable ops =
+  let info, completed = List.partition (fun (o : H.op) -> o.H.op_status = H.Info) ops in
+  List.exists
+    (fun chosen ->
+      List.exists
+        (fun order -> respects_real_time order && legal order)
+        (orders (completed @ chosen)))
+    (subsets info)
+
+(* Random histories of at most 7 ops over 2 keys. Outcomes come from
+   replaying the calls in invocation order (a pending op takes effect
+   or not by coin flip), then one outcome in five is corrupted, so both
+   verdicts and both kinds of pending op — observed and not — occur. *)
+let gen_history =
+  let open QCheck.Gen in
+  let key = oneofl [ "a"; "b" ] and value = int_range 1 3 in
+  let call =
+    frequency
+      [
+        (3, map (fun k -> H.Get k) key);
+        (3, map2 (fun k v -> H.Put (k, v)) key value);
+        (2, map (fun k -> H.Del k) key);
+        (1, map2 (fun k v -> H.Txn [ (k, v) ]) key value);
+        (1, map2 (fun v w -> H.Txn [ ("a", v); ("b", w) ]) value value);
+      ]
+  in
+  (* Invocations are spaced by a random gap, so histories mix
+     overlapping ops with ones strictly ordered in real time. *)
+  let spec = quad call (int_range 0 5) (int_range 1 8) (pair bool (int_range 0 4)) in
+  let corrupt = function
+    | H.Got None -> H.Got (Some 1)
+    | H.Got (Some n) -> H.Got (Some ((n mod 3) + 1))
+    | H.Old (None :: rest) -> H.Old (Some 1 :: rest)
+    | H.Old (Some _ :: rest) -> H.Old (None :: rest)
+    | o -> o
+  in
+  list_size (int_range 1 7) spec >|= fun specs ->
+  let state = ref [] and inv = ref 0 in
+  List.mapi
+    (fun id (call, gap, dur, (is_info, noise)) ->
+      inv := !inv + gap;
+      let inv = !inv in
+      let outcome, state' = model_apply !state call in
+      if is_info then begin
+        if noise mod 2 = 0 then state := state';
+        pending id ~client:id call ~inv
+      end
+      else begin
+        state := state';
+        let outcome = if noise = 0 then corrupt outcome else outcome in
+        mk id ~client:id call ~inv ~ret:(inv + dur) (ok outcome)
+      end)
+    specs
+
+let arb_history = QCheck.make ~print:(Format.asprintf "%a" H.pp_ops) gen_history
+
+let prop_prepass_matches_oracle =
+  QCheck.Test.make ~name:"verdict matches the brute-force oracle" ~count:3000
+    arb_history (fun ops ->
+      match (Lin.check ops, oracle_linearizable ops) with
+      | Lin.Linearizable, true | Lin.Non_linearizable _, false -> true
+      | v, expected ->
+        QCheck.Test.fail_reportf "checker: %a; oracle: %s" Lin.pp_verdict v
+          (if expected then "linearizable" else "non-linearizable"))
+
+(* Guards the property against a generator drift that would make it
+   vacuous: a fixed sample must hold both verdicts, and histories where
+   the pre-pass both drops and keeps pending ops. *)
+let test_oracle_sample_is_mixed () =
+  let sample = QCheck.Gen.generate ~rand:(Random.State.make [| 12 |]) ~n:300 gen_history in
+  let runs =
+    List.map
+      (fun ops ->
+        let n_info = List.length (List.filter (fun (o : H.op) -> o.H.op_status = H.Info) ops) in
+        (Lin.check_report ops, n_info))
+      sample
+  in
+  let count p = List.length (List.filter p runs) in
+  let lin = count (fun (r, _) -> r.Lin.r_verdict = Lin.Linearizable) in
+  let pruned = count (fun (r, _) -> r.Lin.r_pruned > 0) in
+  let kept_info = count (fun (r, n_info) -> r.Lin.r_pruned < n_info) in
+  Alcotest.(check bool) (Printf.sprintf "both verdicts (%d/300 linearizable)" lin) true
+    (lin >= 30 && lin <= 270);
+  Alcotest.(check bool) (Printf.sprintf "%d histories prune" pruned) true (pruned >= 30);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d histories keep an observed pending op" kept_info)
+    true (kept_info >= 10)
+
 (* --- Self-test: the harness catches the stale-read bug ----------------- *)
 
 (* Serving reads from a freshly-migrated bee's pre-transfer snapshot (the
@@ -221,7 +429,19 @@ let test_catches_stale_read_bug () =
         "shrunk to at most 6 events" true
         (List.length f.Check.f_shrunk <= 6);
       Alcotest.(check bool)
-        "shrunk trace replays deterministically" true f.Check.f_replays)
+        "shrunk trace replays deterministically" true f.Check.f_replays;
+      (* The printed replay command must re-arm the lin workload, or it
+         would replay the failing seed without the checker and pass. *)
+      let printed = Check.failure_to_string f in
+      let has flag =
+        let n = String.length flag in
+        let rec at i =
+          i + n <= String.length printed
+          && (String.equal (String.sub printed i n) flag || at (i + 1))
+        in
+        at 0
+      in
+      Alcotest.(check bool) "replay command carries --lin" true (has " --lin"))
 
 (* --- Recording across a mid-flight migration --------------------------- *)
 
@@ -361,6 +581,15 @@ let suite =
           test_per_key_partitioning;
         Alcotest.test_case "budget exhaustion degrades to unknown" `Quick
           test_budget_exhaustion_is_unknown;
+        Alcotest.test_case "pre-pass keeps an observed pending put" `Quick
+          test_observed_info_put_kept;
+        Alcotest.test_case "pre-pass keeps an observed pending del" `Quick
+          test_observed_info_del_kept;
+        Alcotest.test_case "stale read survives pruning, witness unpruned" `Quick
+          test_stale_read_with_prunable_info;
+        QCheck_alcotest.to_alcotest prop_prepass_matches_oracle;
+        Alcotest.test_case "oracle sample mixes verdicts and pruning" `Quick
+          test_oracle_sample_is_mixed;
         Alcotest.test_case "catches injected stale reads" `Quick
           test_catches_stale_read_bug;
         Alcotest.test_case "records cleanly across a mid-flight migration" `Quick
