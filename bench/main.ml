@@ -275,9 +275,9 @@ let ablation_durability () =
     let recovered = Store.recover store ~bee:0 in
     let records, bytes = Store.recovery_cost store ~bee:0 in
     let reps = 20 in
-    let t0 = Sys.time () in
+    let t0 = Unix.gettimeofday () in
     for _ = 1 to reps do ignore (Store.recover store ~bee:0) done;
-    let ms = (Sys.time () -. t0) *. 1000.0 /. float_of_int reps in
+    let ms = (Unix.gettimeofday () -. t0) *. 1000.0 /. float_of_int reps in
     Format.printf "%-18s %-9d %-16d %-12d %-12.3f %-10d@." label (List.length recovered)
       records bytes ms
       (Store.snapshot_count store ~bee:0);
@@ -523,12 +523,12 @@ let ablation_outbox () =
               (Bench_put { bp_key = Printf.sprintf "k%d" k; bp_size = 256 })
           done)
     in
-    let t0 = Sys.time () in
+    let t0 = Unix.gettimeofday () in
     Engine.run_until engine (Simtime.of_sec secs);
     ignore (Engine.cancel engine h);
     P.flush_durability platform;
     Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_ms 50));
-    let wall = Sys.time () -. t0 in
+    let wall = Unix.gettimeofday () -. t0 in
     let wal_bytes =
       match P.store platform with
       | Some s -> Beehive_store.Store.total_wal_bytes_written s
@@ -639,12 +639,12 @@ let ablation_integrity () =
                   (Bench_put { bp_key = Printf.sprintf "k%d" k; bp_size = 256 })
               done)
         in
-        let t0 = Sys.time () in
+        let t0 = Unix.gettimeofday () in
         Engine.run_until engine (Simtime.of_sec secs);
         ignore (Engine.cancel engine h);
         P.flush_durability platform;
         Engine.run_until engine (Simtime.add (Engine.now engine) (Simtime.of_ms 50));
-        let wall = Sys.time () -. t0 in
+        let wall = Unix.gettimeofday () -. t0 in
         let s = Option.get (P.store platform) in
         ( wall,
           P.total_processed platform,

@@ -1,4 +1,4 @@
-(** CRC-32 (zlib polynomial), table-driven, pure OCaml.
+(** CRC-32 (zlib polynomial), slicing-by-8 table-driven, pure OCaml.
 
     Used to frame every durable artifact in the simulator: WAL records,
     snapshots, and Raft log entries carry a stored CRC computed at write

@@ -142,6 +142,10 @@ type 'v t = {
     (bee:int -> dropped_records:int -> dropped_bytes:int -> snapshot_bytes:int -> unit)
     option;
   logs : (int, 'v bee_log) Hashtbl.t;
+  mutable ordered : 'v bee_log array option;
+      (* [logs] sorted by bee id, for the walks that visit logs in order
+         ([scrub], [drop_pending], [tracked_bees], [wal_image]); [None]
+         after a log was created or removed, rebuilt on next use *)
   mutable dirty_logs : 'v bee_log list;
       (* logs with batches awaiting group commit — the flush working set,
          so a commit tick touches only writers, not every tracked bee *)
@@ -194,14 +198,14 @@ let payload_of_batch t ~lsn b =
       | Some _ -> Buffer.add_string buf (string_of_int (t.size_of wr))
       | None -> Buffer.add_char buf 'x')
     b.b_writes;
-  List.iter
-    (fun (seq, bytes) ->
-      Buffer.add_string buf (Printf.sprintf "|o%d:%d" seq bytes))
-    b.b_outbox;
-  List.iter
-    (fun (sender, seq) ->
-      Buffer.add_string buf (Printf.sprintf "|i%d:%d" sender seq))
-    b.b_inbox;
+  let add_pair tag a b =
+    Buffer.add_string buf tag;
+    Buffer.add_string buf (string_of_int a);
+    Buffer.add_char buf ':';
+    Buffer.add_string buf (string_of_int b)
+  in
+  List.iter (fun (seq, bytes) -> add_pair "|o" seq bytes) b.b_outbox;
+  List.iter (fun (sender, seq) -> add_pair "|i" sender seq) b.b_inbox;
   Buffer.contents buf
 
 let payload_of_snapshot t ~lsn entries =
@@ -245,11 +249,30 @@ let log_of t bee =
       }
     in
     Hashtbl.add t.logs bee bl;
+    t.ordered <- None;
     bl
 
-let sorted_logs t =
-  Hashtbl.fold (fun _ bl acc -> bl :: acc) t.logs []
-  |> List.sort (fun a b -> Int.compare a.bl_bee b.bl_bee)
+(* [log_of] creating and [remove_log] are the only writers of [logs], so
+   they are the only places the ordered index goes stale. *)
+let remove_log t bee =
+  if Hashtbl.mem t.logs bee then begin
+    Hashtbl.remove t.logs bee;
+    t.ordered <- None
+  end
+
+let ordered_logs t =
+  match t.ordered with
+  | Some a -> a
+  | None ->
+    let a = Array.of_seq (Hashtbl.to_seq_values t.logs) in
+    Array.sort (fun a b -> Int.compare a.bl_bee b.bl_bee) a;
+    t.ordered <- Some a;
+    a
+
+(* Lexicographic order on (sender, seq) / (seq, bytes) pairs, without
+   the polymorphic [compare]. *)
+let compare_pair (a1, b1) (a2, b2) =
+  match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c
 
 let mark_dirty t bl =
   if not bl.bl_dirty then begin
@@ -530,6 +553,7 @@ let create engine ?(config = default_config) ~size_of ?(garble = fun v -> v)
       on_outbox_durable;
       on_compaction;
       logs = Hashtbl.create 64;
+      ordered = None;
       dirty_logs = [];
       n_fsyncs = 0;
       wal_bytes_written = 0;
@@ -557,17 +581,17 @@ let compact t ~bee =
   compact_log t (log_of t bee)
 
 let drop_pending t ~hive =
-  List.iter
+  Array.iter
     (fun bl ->
       let keep = List.filter (fun b -> b.b_hive <> hive) bl.bl_pending in
       if List.length keep <> List.length bl.bl_pending then begin
         bl.bl_pending <- keep;
         rebuild_live t bl
       end)
-    (sorted_logs t)
+    (ordered_logs t)
 
 let forget t ~bee =
-  Hashtbl.remove t.logs bee;
+  remove_log t bee;
   Hashtbl.remove t.suspects bee
 
 let recover t ~bee =
@@ -626,7 +650,7 @@ let inbox_seen t ~bee ~sender ~seq =
   | Some bl ->
     Hashtbl.mem bl.bl_inbox (sender, seq)
     || List.exists
-         (fun b -> List.exists (fun m -> m = (sender, seq)) b.b_inbox)
+         (fun b -> List.exists (fun (s, q) -> s = sender && q = seq) b.b_inbox)
          bl.bl_pending
 
 let inbox_marks t ~bee =
@@ -638,7 +662,7 @@ let inbox_marks t ~bee =
       List.concat_map (fun b -> b.b_inbox) bl.bl_pending
       |> List.filter (fun m -> not (Hashtbl.mem bl.bl_inbox m))
     in
-    List.sort_uniq compare (durable @ pending)
+    List.sort_uniq compare_pair (durable @ pending)
 
 let inbox_size t ~bee =
   match Hashtbl.find_opt t.logs bee with
@@ -676,7 +700,7 @@ let package t ~bee =
   let outbox = outbox_unacked t ~bee in
   let inbox =
     Hashtbl.fold (fun m () acc -> m :: acc) bl.bl_inbox []
-    |> List.sort compare
+    |> List.sort compare_pair
   in
   let outbox_bytes =
     List.fold_left
@@ -698,7 +722,7 @@ let package t ~bee =
   }
 
 let install t pkg =
-  Hashtbl.remove t.logs pkg.pkg_bee;
+  remove_log t pkg.pkg_bee;
   let bl = log_of t pkg.pkg_bee in
   bl.bl_snapshot <- pkg.pkg_snapshot;
   bl.bl_snapshot_lsn <- pkg.pkg_snapshot_lsn;
@@ -760,7 +784,7 @@ let snapshot_count t ~bee =
   match Hashtbl.find_opt t.logs bee with None -> 0 | Some bl -> bl.bl_compactions
 
 let tracked_bees t =
-  Hashtbl.fold (fun bee _ acc -> bee :: acc) t.logs [] |> List.sort Int.compare
+  Array.fold_right (fun bl acc -> bl.bl_bee :: acc) (ordered_logs t) []
 
 let total_fsyncs t = t.n_fsyncs
 let total_wal_bytes_written t = t.wal_bytes_written
@@ -825,69 +849,69 @@ let fsck t ~bee =
         Truncated n
     end
 
+(* Index of the first log in [logs] (sorted by bee id) whose bee is
+   above [cursor]; [Array.length logs] when there is none. *)
+let first_after logs cursor =
+  let lo = ref 0 and hi = ref (Array.length logs) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if logs.(mid).bl_bee > cursor then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* A log's chain as the production read path sees it: the snapshot, then
+   the WAL newest first, stopping at the first frame that fails. *)
+let scrub_verify bl =
+  if frame_state bl.bl_snapshot_frame <> F_ok then
+    Some "snapshot failed checksum verification"
+  else
+    match List.find_opt (fun r -> frame_state r.r_frame <> F_ok) bl.bl_wal with
+    | Some r -> Some (Printf.sprintf "wal record lsn %d failed verification" r.r_lsn)
+    | None -> None
+
 let scrub t ~budget_bytes =
   if budget_bytes <= 0 then (0, [])
   else begin
-    let logs = sorted_logs t in
-    if logs = [] then (0, [])
+    let logs = ordered_logs t in
+    let n = Array.length logs in
+    if n = 0 then (0, [])
     else begin
-      let after, before =
-        List.partition (fun bl -> bl.bl_bee > t.scrub_cursor) logs
-      in
-      (* Serial walk: choose the logs this slice covers, charge the
-         byte budget and advance the cursor — bookkeeping identical to
-         a serial scrub. *)
+      (* Serial walk: from the first bee after the cursor, round the
+         ring in bee-id order until the byte budget is spent, charging
+         the budget and advancing the cursor. A slice costs the logs it
+         visits, not the logs the store tracks. *)
+      let start = first_after logs t.scrub_cursor in
       let scanned = ref 0 in
-      let visited = ref [] in
-      (try
-         List.iter
-           (fun bl ->
-             if !scanned >= budget_bytes then raise Exit;
-             visited := bl :: !visited;
-             t.scrub_cursor <- bl.bl_bee;
-             scanned := !scanned + bl.bl_snapshot_bytes + bl.bl_wal_bytes;
-             t.records_verified <- t.records_verified + bl.bl_wal_records + 1)
-           (after @ before)
-       with Exit -> ());
-      let visited = Array.of_list (List.rev !visited) in
+      let visited = ref 0 in
+      while !visited < n && !scanned < budget_bytes do
+        let bl = logs.((start + !visited) mod n) in
+        t.scrub_cursor <- bl.bl_bee;
+        scanned := !scanned + bl.bl_snapshot_bytes + bl.bl_wal_bytes;
+        t.records_verified <- t.records_verified + bl.bl_wal_records + 1;
+        incr visited
+      done;
+      let visited = !visited in
       (* Frame verification is a pure read (CRC32 over each log's
          bytes), so it fans out over the domain pool; the verdict fold
          below runs serially in walk order, keeping suspect marking
          and counters order-stable at any pool width. *)
-      let verify bl =
-        if frame_state bl.bl_snapshot_frame <> F_ok then
-          Some "snapshot failed checksum verification"
-        else begin
-          let bad = ref None in
-          List.iter
-            (fun r ->
-              if !bad = None && frame_state r.r_frame <> F_ok then
-                bad :=
-                  Some
-                    (Printf.sprintf "wal record lsn %d failed verification"
-                       r.r_lsn))
-            bl.bl_wal;
-          !bad
-        end
-      in
       let verdicts =
-        Engine.parallel_map t.engine ~shards:(Array.length visited) (fun i ->
-            verify visited.(i))
+        Engine.parallel_map t.engine ~shards:visited (fun i ->
+            scrub_verify logs.((start + i) mod n))
       in
       let found = ref [] in
       Array.iteri
         (fun i verdict ->
           match verdict with
           | Some detail ->
-            mark_suspect t visited.(i).bl_bee detail;
-            found := (visited.(i).bl_bee, detail) :: !found
+            let bee = logs.((start + i) mod n).bl_bee in
+            mark_suspect t bee detail;
+            found := (bee, detail) :: !found
           | None -> ())
         verdicts;
       (* A pass completes when one call covered every log, or when the
          round-robin cursor reaches the end of the ring across calls. *)
-      let max_bee = List.fold_left (fun acc bl -> max acc bl.bl_bee) min_int logs in
-      if Array.length visited >= List.length logs || t.scrub_cursor = max_bee
-      then begin
+      if visited >= n || t.scrub_cursor = logs.(n - 1).bl_bee then begin
         t.scrubs_completed <- t.scrubs_completed + 1;
         t.scrub_cursor <- -1
       end;
@@ -927,7 +951,7 @@ let clear_suspect t ~bee = Hashtbl.remove t.suspects bee
    from the supplied lists. *)
 let reseed t ~bee ~entries:es ~outbox ~inbox ~next_out_seq:nos =
   let old = Hashtbl.find_opt t.logs bee in
-  Hashtbl.remove t.logs bee;
+  remove_log t bee;
   let bl = log_of t bee in
   (match old with
   | Some o ->
@@ -1012,7 +1036,7 @@ let wal_image t =
     Buffer.add_string buf f.f_payload;
     Buffer.add_char buf '\n'
   in
-  List.iter
+  Array.iter
     (fun bl ->
       Buffer.add_string buf
         (Printf.sprintf "bee=%d next_lsn=%d snap_lsn=%d next_out_seq=%d\n"
@@ -1025,12 +1049,12 @@ let wal_image t =
             r.r_frame)
         (List.rev bl.bl_wal);
       Hashtbl.fold (fun seq bytes acc -> (seq, bytes) :: acc) bl.bl_outbox []
-      |> List.sort compare
+      |> List.sort compare_pair
       |> List.iter (fun (seq, bytes) ->
              Buffer.add_string buf (Printf.sprintf "O %d:%d\n" seq bytes));
       Hashtbl.fold (fun m () acc -> m :: acc) bl.bl_inbox []
-      |> List.sort compare
+      |> List.sort compare_pair
       |> List.iter (fun (s, q) ->
              Buffer.add_string buf (Printf.sprintf "I %d:%d\n" s q)))
-    (sorted_logs t);
+    (ordered_logs t);
   Buffer.contents buf

@@ -34,6 +34,49 @@ let test_crc32_known_answer () =
   Alcotest.(check bool) "distinct inputs, distinct sums" true
     (Crc32.string "R1|d/a=8" <> Crc32.string "R1|d/b=8")
 
+(* Bytewise reference: the textbook reflected CRC-32, one table lookup
+   per byte. The store's slicing-by-8 kernel must agree with it on every
+   length and every way of splitting the input across [update] calls. *)
+let crc32_reference s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+        done;
+        !c)
+  in
+  let crc = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch -> crc := table.((!crc lxor Char.code ch) land 0xff) lxor (!crc lsr 8))
+    s;
+  !crc lxor 0xFFFFFFFF
+
+let crc32_agrees_everywhere s =
+  let expect = crc32_reference s in
+  Crc32.string s = expect
+  && List.for_all
+       (fun i ->
+         let a = String.sub s 0 i and b = String.sub s i (String.length s - i) in
+         Crc32.update (Crc32.string a) b = expect)
+       (List.init (String.length s + 1) Fun.id)
+
+let prop_crc32_matches_reference =
+  QCheck.Test.make ~name:"crc32 slicing-by-8 = bytewise reference, every split"
+    ~count:300
+    QCheck.(string_of_size Gen.(0 -- 300))
+    crc32_agrees_everywhere
+
+(* Random lengths can miss a residue; sweep every length 0..300 once so
+   each tail length mod 8 meets each split point. *)
+let test_crc32_every_length () =
+  let rng = Random.State.make [| 13 |] in
+  for len = 0 to 300 do
+    let s = String.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
+    if not (crc32_agrees_everywhere s) then
+      Alcotest.failf "crc32 disagrees with the reference at length %d" len
+  done
+
 (* A torn tail record is dropped at fsck, leaving exactly the state of
    the crash-consistent prefix — byte-identical to a store that never
    wrote the torn record at all. *)
@@ -162,6 +205,138 @@ let test_scrub_budget_and_detection () =
     (Store.scrubs_completed store >= 2);
   Alcotest.(check bool) "several slices were needed" true (!slices > 1);
   Alcotest.(check bool) "damage re-found incrementally" true !found
+
+(* The scrub walk's reference: sort every tracked bee, split at the
+   cursor, walk [after @ before] until the budget is spent. The oracle
+   keeps its own bee set (the test knows which logs it created and
+   removed), its own cursor and counters, and reads each log's bytes
+   through the hashtable-backed [recovery_cost], so a stale ordered
+   index in the store shows as a different walk. *)
+type scrub_oracle = {
+  mutable o_bees : int list;
+  mutable o_cursor : int;
+  mutable o_passes : int;
+  mutable o_verified : int;
+}
+
+let oracle_slice o store ~budget =
+  let logs = List.sort_uniq Int.compare o.o_bees in
+  if budget <= 0 || logs = [] then (0, [])
+  else begin
+    let after, before = List.partition (fun b -> b > o.o_cursor) logs in
+    let scanned = ref 0 in
+    let visited = ref [] in
+    (try
+       List.iter
+         (fun bee ->
+           if !scanned >= budget then raise Exit;
+           visited := bee :: !visited;
+           o.o_cursor <- bee;
+           let records, bytes = Store.recovery_cost store ~bee in
+           scanned := !scanned + bytes;
+           o.o_verified <- o.o_verified + records + 1)
+         (after @ before)
+     with Exit -> ());
+    let visited = List.rev !visited in
+    let max_bee = List.fold_left max min_int logs in
+    if List.length visited >= List.length logs || o.o_cursor = max_bee then begin
+      o.o_passes <- o.o_passes + 1;
+      o.o_cursor <- -1
+    end;
+    (!scanned, visited)
+  end
+
+(* Drives a store through all four writers of its log table — creation,
+   [forget], [install] and [reseed] — interleaving small-budget scrub
+   slices that wrap the cursor, and checks every slice against the
+   reference walk: bytes scanned, bees reported, passes, records. *)
+let test_scrub_walk_matches_reference () =
+  let store = int_store (Engine.create ()) in
+  let o = { o_bees = []; o_cursor = -1; o_passes = 0; o_verified = 0 } in
+  let write ?(records = 1) bee =
+    for i = 1 to records do
+      Store.append store ~bee ~hive:0 [ ("d", Printf.sprintf "k%d" i, Some (bee + i)) ]
+    done;
+    Store.flush store;
+    if not (List.mem bee o.o_bees) then o.o_bees <- bee :: o.o_bees
+  in
+  let slice_no = ref 0 in
+  let slice budget =
+    incr slice_no;
+    let expect_scanned, visited = oracle_slice o store ~budget in
+    (* Damage is reported on every visit until something repairs it. *)
+    let expect_found =
+      List.filter (fun bee -> Store.verify_chain store ~bee <> None) visited
+    in
+    let scanned, found = Store.scrub store ~budget_bytes:budget in
+    let ctx what = Printf.sprintf "slice %d (budget %d): %s" !slice_no budget what in
+    Alcotest.(check int) (ctx "bytes scanned") expect_scanned scanned;
+    Alcotest.(check (list int)) (ctx "bees reported") expect_found (List.map fst found);
+    Alcotest.(check int) (ctx "passes") o.o_passes (Store.scrubs_completed store);
+    Alcotest.(check int) (ctx "records verified") o.o_verified
+      (Store.records_verified store);
+    Alcotest.(check (list int)) (ctx "tracked bees")
+      (List.sort_uniq Int.compare o.o_bees)
+      (Store.tracked_bees store)
+  in
+  let slices () = List.iter slice [ 1; 40; 100; 250; 1; 1000; 60; 0; 150; 40 ] in
+  (* Sparse, unordered ids so the cursor's successor needs a search. *)
+  List.iteri (fun i bee -> write ~records:(1 + (i mod 4)) bee) [ 17; 2; 40; 9; 31; 23; 5 ];
+  slices ();
+  (* Creation: ids below, between and above the current cursor. *)
+  List.iter (fun bee -> write ~records:2 bee) [ 0; 12; 99 ];
+  slices ();
+  (* Removal, including the log the cursor last visited. *)
+  let at_cursor = o.o_cursor in
+  List.iter
+    (fun bee ->
+      Store.forget store ~bee;
+      o.o_bees <- List.filter (( <> ) bee) o.o_bees)
+    (List.filter (fun b -> b >= 0) [ 9; at_cursor ]);
+  slices ();
+  (* Install: a migration package replaces an existing log with one of a
+     different size, and lands a brand-new bee. *)
+  let donor = int_store (Engine.create ()) in
+  List.iter
+    (fun (bee, n) ->
+      for i = 1 to n do
+        Store.append donor ~bee ~hive:1 [ ("d", Printf.sprintf "m%d" i, Some i) ]
+      done)
+    [ (40, 6); (55, 3) ];
+  Store.flush donor;
+  List.iter
+    (fun bee ->
+      Store.install store (Store.package donor ~bee);
+      if not (List.mem bee o.o_bees) then o.o_bees <- bee :: o.o_bees)
+    [ 40; 55 ];
+  slices ();
+  (* Reseed: a multi-record log collapses to a fresh snapshot. *)
+  write ~records:5 23;
+  Store.reseed store ~bee:23 ~entries:[ ("d", "only", 1) ] ~outbox:[] ~inbox:[]
+    ~next_out_seq:1;
+  slices ();
+  (* Damage one chosen bee: it is reported in exactly the slices the
+     reference walk visits it in, and nowhere else. *)
+  write ~records:3 31;
+  Alcotest.(check bool) "victim corrupted" true
+    (Store.corrupt_record store ~bee:31 ~victim:0
+    && Store.corrupt_record store ~bee:31 ~victim:2);
+  let reported = ref 0 in
+  let slice_counting budget =
+    let before = Store.crc_failures store in
+    slice budget;
+    if Store.crc_failures store > before then incr reported
+  in
+  List.iter slice_counting [ 30; 30; 30; 30; 30; 30; 30; 30; 30; 30; 30; 30; 30; 30 ];
+  Alcotest.(check int) "victim counted once as a crc failure" 1 !reported;
+  (* Verification walks the WAL newest first: of two damaged records the
+     report names the newer. *)
+  Alcotest.(check (option string)) "victim's detail names its newest damaged record"
+    (Some
+       (Printf.sprintf "wal record lsn %d failed verification"
+          (Store.durable_lsn store ~bee:31)))
+    (Store.suspect store ~bee:31);
+  Alcotest.(check bool) "the walk wrapped more than once" true (o.o_passes >= 3)
 
 (* Platform: the background scrubber repairs a damaged live bee in place
    from its in-memory committed state — no restart, no peer, no state
@@ -299,6 +474,9 @@ let suite =
     ( "integrity",
       [
         Alcotest.test_case "crc32 known answer" `Quick test_crc32_known_answer;
+        QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
+        Alcotest.test_case "crc32 matches the reference at every length" `Quick
+          test_crc32_every_length;
         Alcotest.test_case "torn tail truncates to the crash-consistent prefix"
           `Quick test_torn_tail_truncates_to_prefix;
         Alcotest.test_case "bit flip fail-stops the committed prefix" `Quick
@@ -311,6 +489,8 @@ let suite =
           test_checksums_off_still_catches_torn;
         Alcotest.test_case "scrub budget accounting and detection" `Quick
           test_scrub_budget_and_detection;
+        Alcotest.test_case "scrub walk matches the reference walk" `Quick
+          test_scrub_walk_matches_reference;
         Alcotest.test_case "scrub repairs a live bee in place" `Quick
           test_scrub_repairs_live_bee;
         Alcotest.test_case "unreplicated corruption quarantines" `Quick
